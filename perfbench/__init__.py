@@ -1,0 +1,6 @@
+"""End-to-end benchmark of the PDT column store, with a per-layer breakdown.
+
+Run one workload with ``python3 perfbench/run.py --workload <name> --seed
+<n> --seconds <s> --trace <0|1>`` from the repository root; see
+``perfbench/README.md`` for the workloads and metrics.
+"""
