@@ -1,19 +1,23 @@
 """Ablation — vectorized bulk-update path vs per-row scalar updates.
 
 The write-side twin of the block-merge ablation: the same scattered
-update stream applied through the scalar :class:`PositionalUpdater`
-(one index-probed MergeScan restart per operation — the seed's only
-path) and through :class:`BatchUpdater` (sort the batch, resolve every
-target position in one index-guided sweep with per-block
-``searchsorted``, ingest the run with one bulk PDT append). The paper's
-update-throughput results (Figure 16) hinge on batch application;
-Krueger et al. make the same point for delta ingestion generally.
+update stream applied through the tuple-at-a-time scalar updater kept in
+``tests/core/scalar_updater.py`` (one index-probed MergeScan restart per
+operation, walking the granule row by row — the original per-row path,
+now the differential oracle) and through :class:`PositionalUpdater` as
+one batch (sort the batch, resolve every target position in one
+index-guided sweep with per-block ``searchsorted``, ingest the run with
+one bulk PDT append). The paper's update-throughput results (Figure 16)
+hinge on batch application; Krueger et al. make the same point for delta
+ingestion generally.
 
 The acceptance configuration is the 100k-row stable table with a
 10k-operation batch (10 updates/100), where the bulk path must be ≥ 3×
 the scalar path; the final report prints the measured speedup per rate.
 
-Run: ``pytest benchmarks/bench_ablation_bulk_updates.py -q -s``
+Run from the repository root (the scalar leg imports the oracle from
+``tests/``): ``python -m pytest benchmarks/bench_ablation_bulk_updates.py
+-q -s``
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import time
 import pytest
 
 from repro.bench import Report, scaled
+from repro.core.pdt import PDT
 from repro.workloads import apply_ops_pdt, build_workload
+from tests.core.scalar_updater import ScalarUpdater, apply_ops
 
 N_ROWS = scaled(100_000)
 RATES = [0.5, 2.0, 10.0]  # 10.0 == the 10k-op acceptance point
@@ -69,6 +75,13 @@ def cases():
     return cache
 
 
+def _apply_scalar(wl):
+    """The scalar leg: every op through the tuple-at-a-time oracle."""
+    pdt = PDT(wl.table.schema)
+    apply_ops(ScalarUpdater(wl.table, [pdt], wl.sparse_index), wl.ops)
+    return pdt
+
+
 def _best_of(fn, n):
     best = float("inf")
     result = None
@@ -95,7 +108,7 @@ def test_bulk_path(cases, rate):
 def test_scalar_path(cases, rate):
     wl = cases[rate]
     secs, pdt = _best_of(
-        lambda: apply_ops_pdt(wl.table, wl.ops, wl.sparse_index, bulk=False),
+        lambda: _apply_scalar(wl),
         n=1,
     )
     assert pdt.count() > 0
@@ -113,7 +126,7 @@ def test_acceptance_speedup(cases):
         n=3,
     )
     scalar_s, scalar_pdt = _best_of(
-        lambda: apply_ops_pdt(wl.table, wl.ops, wl.sparse_index, bulk=False),
+        lambda: _apply_scalar(wl),
         n=1,
     )
     assert bulk_pdt.count() == scalar_pdt.count()

@@ -2,8 +2,10 @@
 
 Value-addressed updates locate their RIDs with a sparse-index-restricted
 MergeScan (paper section 3.2). Finer granules mean less scanning per
-update but a larger index; this ablation measures the trade-off that the
-PositionalUpdater inherits.
+update but a larger index; this ablation measures the trade-off that
+single-row statements inherit: each op is applied as a batch of one
+through ``PositionalUpdater``, whose resolution sweep starts at the
+granule the index selects.
 
 Run: ``pytest benchmarks/bench_ablation_granularity.py --benchmark-only``
 """

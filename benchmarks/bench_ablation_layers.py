@@ -47,7 +47,9 @@ def report_at_end():
 
 
 def _build_stack(n_layers: int):
-    """Split one op volume across ``n_layers`` stacked PDTs."""
+    """Split one op volume across ``n_layers`` stacked PDTs; each op is a
+    single-row statement (a batch of one through ``PositionalUpdater``)
+    resolved against the whole stack built so far."""
     table = build_table(N_ROWS, seed=3)
     index = SparseIndex(table, granularity=256)
     per_layer_rate = TOTAL_RATE / n_layers

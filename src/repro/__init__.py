@@ -34,7 +34,7 @@ from .core import (
     propagate_batch,
     serialize,
 )
-from .db import BatchUpdater, Database
+from .db import Database, PositionalUpdater
 from .engine import Relation, ScanTimer, scan_clean, scan_pdt, scan_vdt
 from .service import QueryService, StreamingCursor
 from .shard import ShardedTable, ShardRouter
@@ -64,7 +64,6 @@ from .vdt import VDT, vdt_merge_scan
 __version__ = "1.0.0"
 
 __all__ = [
-    "BatchUpdater",
     "BlockStore",
     "BufferPool",
     "Database",
@@ -76,6 +75,7 @@ __all__ = [
     "MmapFileBackend",
     "MmapStorage",
     "PDT",
+    "PositionalUpdater",
     "QueryService",
     "Relation",
     "ScanTimer",

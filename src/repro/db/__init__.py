@@ -3,23 +3,17 @@
 from .database import Database
 from .replicas import ReplicatedTable
 from .update_processor import (
-    BatchUpdater,
     DuplicateKey,
     KeyNotFound,
     PositionalUpdater,
-    find_insert_position,
-    find_rid_by_key,
     resolve_batch_positions,
 )
 
 __all__ = [
-    "BatchUpdater",
     "Database",
     "DuplicateKey",
     "KeyNotFound",
     "PositionalUpdater",
     "ReplicatedTable",
-    "find_insert_position",
-    "find_rid_by_key",
     "resolve_batch_positions",
 ]

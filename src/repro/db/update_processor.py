@@ -6,16 +6,17 @@ a query: a MergeScan restricted by the sparse index produces the RIDs, and
 Algorithm 6 (``sk_rid_to_sid``) then pins inserts relative to ghost tuples.
 This module implements that machinery over a stack of PDT layers.
 
-Two application paths share it:
-
-* :class:`PositionalUpdater` — one MergeScan per update. Fine for trickle
-  traffic; the differential-testing oracle for everything else.
-* :class:`BatchUpdater` — the vectorized bulk path. A whole batch is
-  sorted by sort key, every target RID is resolved in *one* index-guided
-  sweep of the merged key columns (``np.searchsorted`` per block), and
-  the updates are ingested into the top PDT — in one
-  ``bulk_append_entries`` run when the top layer starts empty, through
-  the scalar primitives (with positions precomputed) otherwise.
+:class:`PositionalUpdater` is the one update path. A batch is sorted by
+sort key, every target RID is resolved in *one* index-guided sweep of the
+merged key columns (:func:`resolve_batch_positions`, ``np.searchsorted``
+per block), and the updates are ingested into the top PDT — in one
+``bulk_append_entries`` run when the top layer starts empty, through the
+scalar PDT primitives (with positions precomputed) otherwise. Single-row
+statements (:meth:`~PositionalUpdater.insert`,
+:meth:`~PositionalUpdater.delete_by_key`,
+:meth:`~PositionalUpdater.modify_by_key`) are batches of one. The
+tuple-at-a-time scalar resolver the batch path replaced lives on in the
+test suite as its differential oracle.
 """
 
 from __future__ import annotations
@@ -37,130 +38,11 @@ class DuplicateKey(ValueError):
     """An insert would duplicate the sort key of a live tuple."""
 
 
-def _scan_keys_from(stable, layers, sparse_index, sk):
-    """Yield ``(rid, key_tuple)`` of the merged image starting near ``sk``.
-
-    Uses the (possibly stale) sparse index to skip granules that cannot
-    contain ``sk``; thanks to ghost-respecting SIDs the index stays valid
-    under any update load.
-    """
-    sk = tuple(sk)
-    if sparse_index is not None:
-        start = sparse_index.sid_range_for_key_range(sk, None).start
-    else:
-        start = 0
-    key_cols = list(stable.schema.sort_key)
-    for first_rid, arrays in merge_scan_layers(
-        stable, layers, columns=key_cols, start=start, batch_rows=512
-    ):
-        columns = [arrays[c] for c in key_cols]
-        for i in range(len(columns[0])):
-            yield first_rid + i, tuple(col[i] for col in columns)
-
-
-def find_insert_position(stable, layers, sparse_index, sk) -> int:
-    """RID of the first live tuple with sort key > ``sk`` (the insert-before
-    position); equals the image row count when ``sk`` sorts last.
-
-    Raises :class:`DuplicateKey` if a live tuple already carries ``sk``.
-    """
-    sk = tuple(sk)
-    rid = None
-    for rid, key in _scan_keys_from(stable, layers, sparse_index, sk):
-        if key == sk:
-            raise DuplicateKey(f"live tuple with key {sk!r} already exists")
-        if key > sk:
-            return rid
-    if rid is None:
-        # Started past every key (or empty table): position = image size.
-        return _image_size(stable, layers)
-    return rid + 1
-
-
-def find_rid_by_key(stable, layers, sparse_index, sk) -> int:
-    """RID of the live tuple whose sort key equals ``sk``."""
-    sk = tuple(sk)
-    for rid, key in _scan_keys_from(stable, layers, sparse_index, sk):
-        if key == sk:
-            return rid
-        if key > sk:
-            break
-    raise KeyNotFound(f"no live tuple with key {sk!r}")
-
-
 def _image_size(stable, layers) -> int:
     size = stable.num_rows
     for layer in layers:
         size += layer.total_delta()
     return size
-
-
-class PositionalUpdater:
-    """Applies value-addressed updates to the *top* PDT layer of a stack.
-
-    ``layers`` is the full bottom-up stack used for reads (e.g.
-    ``[read, write_snapshot, trans]``); updates land in ``layers[-1]``.
-    """
-
-    def __init__(self, stable, layers, sparse_index: SparseIndex | None):
-        if not layers:
-            raise ValueError("need at least one PDT layer to update")
-        self.stable = stable
-        self.layers = list(layers)
-        self.sparse_index = sparse_index
-        self.schema = stable.schema
-
-    @property
-    def top(self):
-        return self.layers[-1]
-
-    def insert(self, row) -> int:
-        """Insert a full tuple; returns the RID it received."""
-        row = self.schema.coerce_row(row)
-        sk = self.schema.sk_of(row)
-        rid = find_insert_position(
-            self.stable, self.layers, self.sparse_index, sk
-        )
-        sid = self.top.sk_rid_to_sid(sk, rid)
-        self.top.add_insert(sid, rid, list(row))
-        return rid
-
-    def delete_by_key(self, sk) -> int:
-        """Delete the live tuple with key ``sk``; returns its former RID."""
-        sk = tuple(sk)
-        rid = find_rid_by_key(self.stable, self.layers, self.sparse_index, sk)
-        self.top.add_delete(rid, sk)
-        return rid
-
-    def modify_by_key(self, sk, column: str, value) -> int:
-        """Set ``column`` of the live tuple with key ``sk``.
-
-        Sort-key columns cannot be modified in place; per the paper such
-        updates are a delete followed by an insert, which the caller must
-        issue explicitly (it has to supply the full new tuple anyway).
-        """
-        if self.schema.is_sk_column(column):
-            raise ValueError(
-                f"column {column!r} is part of the sort key; delete and "
-                f"re-insert instead"
-            )
-        sk = tuple(sk)
-        rid = find_rid_by_key(self.stable, self.layers, self.sparse_index, sk)
-        self.top.add_modify(rid, self.schema.column_index(column), value)
-        return rid
-
-    def delete_at(self, rid: int, sk) -> None:
-        """Positional delete when the caller already knows (rid, sk) — the
-        path a query-produced RID list takes."""
-        self.top.add_delete(rid, tuple(sk))
-
-    def modify_at(self, rid: int, column: str, value) -> None:
-        if self.schema.is_sk_column(column):
-            raise ValueError(f"column {column!r} is part of the sort key")
-        self.top.add_modify(rid, self.schema.column_index(column), value)
-
-    def image_size(self) -> int:
-        return _image_size(self.stable, self.layers)
 
 
 def resolve_batch_positions(stable, layers, sparse_index, keys):
@@ -217,16 +99,21 @@ def resolve_batch_positions(stable, layers, sparse_index, keys):
     return resolved
 
 
-class BatchUpdater:
-    """Vectorized bulk application of value-addressed updates.
+class PositionalUpdater:
+    """Applies value-addressed updates to the *top* PDT layer of a stack.
 
-    Applies a whole batch of ``("ins", row) | ("del", sk) |
-    ("mod", sk, column, value)`` operations to the *top* PDT layer of a
-    stack, producing exactly the PDT state the scalar
-    :class:`PositionalUpdater` would have produced applying the batch
-    in order (the property suite asserts so). Unlike the scalar path the
-    batch is validated up front: on :class:`KeyNotFound` /
-    :class:`DuplicateKey` / sort-key-modify errors *nothing* is applied.
+    ``layers`` is the full bottom-up stack used for reads (e.g.
+    ``[read, write_snapshot, trans]``, plus a Query-PDT inside a
+    statement scope); positions are resolved against all of it, so a
+    transaction sees its own earlier writes, and updates land in
+    ``layers[-1]``.
+
+    Takes a whole batch of ``("ins", row) | ("del", sk) |
+    ("mod", sk, column, value)`` operations and produces exactly the PDT
+    state that applying them one at a time, in order, would (the property
+    suite asserts so against the scalar oracle). The batch is validated
+    up front: on :class:`KeyNotFound` / :class:`DuplicateKey` /
+    sort-key-modify errors *nothing* is applied.
 
     The amortization: the batch is sorted by sort key, so all target
     positions come out of one index-guided sweep of the merged key
@@ -247,6 +134,35 @@ class BatchUpdater:
     @property
     def top(self):
         return self.layers[-1]
+
+    # -- single-row statements (batches of one) ----------------------------
+
+    def insert(self, row) -> int:
+        """Insert a full tuple; returns the RID it received."""
+        return self._apply_one(("ins", row))
+
+    def delete_by_key(self, sk) -> int:
+        """Delete the live tuple with key ``sk``; returns its former RID."""
+        return self._apply_one(("del", sk))
+
+    def modify_by_key(self, sk, column: str, value) -> int:
+        """Set ``column`` of the live tuple with key ``sk``; returns its RID.
+
+        Sort-key columns cannot be modified in place; per the paper such
+        updates are a delete followed by an insert, which the caller must
+        issue explicitly (it has to supply the full new tuple anyway).
+        """
+        return self._apply_one(("mod", sk, column, value))
+
+    def _apply_one(self, op) -> int:
+        staged = self.prepare([op])
+        self.commit_staged(staged)
+        _, resolved, _ = staged
+        # One op, no running delta: the resolved position is the RID the
+        # insert received, or the RID of the deleted/modified tuple.
+        return resolved[0][1]
+
+    # -- batches -----------------------------------------------------------
 
     def apply(self, ops) -> int:
         """Apply the batch; returns the number of operations applied."""

@@ -499,15 +499,20 @@ class QueryService:
         twin of the draining ``Database.query`` does between queries."""
         if self._closed or self._admission.inflight:
             return
-        with self._write_lock:
+        scheduler = self._db.scheduler
+        # The scheduler lock spans the drain and the count: a reader that
+        # sees the deferred queue empty also sees the run that emptied it.
+        with self._write_lock, scheduler.lock:
             if self._admission.inflight:
                 return  # a new request was admitted; it will drain later
-            self._db.scheduler.run_pending()
+            worked = scheduler.run_pending()
             for name in self._db.sharded_names():
                 # maybe_rebalance also drains retired-shard storage whose
                 # pins have gone, at its quiescent entry point.
-                self._db.sharded(name).maybe_rebalance()
-        self.stats.bump(maintenance_runs=1)
+                if self._db.sharded(name).maybe_rebalance():
+                    worked = True
+            if worked:
+                self.stats.bump(maintenance_runs=1)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import threading
 from dataclasses import dataclass, field, fields
 
 from .checkpoint import checkpoint_table, checkpoint_table_range
@@ -302,6 +303,13 @@ class CheckpointScheduler:
     and retried — by later commits and by ``run_pending`` (which
     ``Database.query`` calls between queries, giving the SynchroStore-like
     interleaving of maintenance with the workload).
+
+    Commit listeners, between-query drains and the query service's pool
+    thread all reach the deferred queue, so one re-entrant :attr:`lock`
+    guards it: every entry point runs under it, including the maintenance
+    it executes, and :meth:`pending` copies under it. A caller that
+    publishes the effects of a drain holds the lock across the drain and
+    the publish, so no reader sees the queue emptied before the effects.
     """
 
     def __init__(self, manager: TransactionManager, policy: CheckpointPolicy,
@@ -310,6 +318,7 @@ class CheckpointScheduler:
         self.policy = policy
         self.max_pin_age_s = max_pin_age_s
         self.stats = SchedulerStats()
+        self.lock = threading.RLock()
         self._commits_since: dict[str, int] = {}
         self._pending: dict[str, Decision] = {}
 
@@ -317,35 +326,41 @@ class CheckpointScheduler:
 
     def on_commit(self, tables) -> None:
         """Commit listener: re-evaluate the policy for touched tables."""
-        for table in tables:
-            self._commits_since[table] = \
-                self._commits_since.get(table, 0) + 1
-        for table in tables:
-            self._consult(table)
-        # A commit is also an opportunity to drain work deferred earlier.
-        for table in [t for t in self._pending if t not in tables]:
-            self._try_execute(table, self._pending[table])
+        with self.lock:
+            for table in tables:
+                self._commits_since[table] = \
+                    self._commits_since.get(table, 0) + 1
+            for table in tables:
+                self._consult(table)
+            # A commit is also an opportunity to drain work deferred
+            # earlier.
+            for table in [t for t in self._pending if t not in tables]:
+                self._try_execute(table, self._pending[table])
 
     def run_pending(self, table: str | None = None) -> bool:
         """Retry deferred maintenance (between queries). Returns True when
         something ran."""
         ran = False
-        targets = [table] if table is not None else list(self._pending)
-        for name in targets:
-            decision = self._pending.get(name)
-            if decision is not None and self._try_execute(name, decision):
-                ran = True
+        with self.lock:
+            targets = [table] if table is not None else list(self._pending)
+            for name in targets:
+                decision = self._pending.get(name)
+                if decision is not None \
+                        and self._try_execute(name, decision):
+                    ran = True
         return ran
 
     def pending(self) -> dict[str, Decision]:
         """Deferred decisions by table (diagnostics)."""
-        return dict(self._pending)
+        with self.lock:
+            return dict(self._pending)
 
     def forget(self, table: str) -> None:
         """Drop any deferred work for a table that no longer exists (a
         rebalance retired the shard; its deltas moved with the split)."""
-        self._pending.pop(table, None)
-        self._commits_since.pop(table, None)
+        with self.lock:
+            self._pending.pop(table, None)
+            self._commits_since.pop(table, None)
 
     # -- measurement -------------------------------------------------------
 

@@ -24,7 +24,7 @@ import enum
 
 from ..core.pdt import PDT
 from ..core.propagate import propagate_batch
-from ..db.update_processor import BatchUpdater, PositionalUpdater
+from ..db.update_processor import PositionalUpdater
 from ..engine.relation import Relation
 from ..engine.scan import scan_pdt
 
@@ -173,14 +173,6 @@ class Transaction:
                     .modify_by_key(sk, column, value)
         return self._updater(table).modify_by_key(sk, column, value)
 
-    def delete_at(self, table: str, rid: int, sk) -> None:
-        self._require_active()
-        self._updater(table).delete_at(rid, sk)
-
-    def modify_at(self, table: str, rid: int, column: str, value) -> None:
-        self._require_active()
-        self._updater(table).modify_at(rid, column, value)
-
     def apply_batch(self, table: str, ops) -> int:
         """Apply a whole ``("ins", row) | ("del", sk) | ("mod", sk, col,
         value)`` batch through the vectorized bulk path; returns the
@@ -195,17 +187,10 @@ class Transaction:
             with sharded.merge_io_after():
                 staged = []
                 for physical, sub in sharded.split_ops(ops):
-                    state = self._manager.state_of(physical)
-                    updater = BatchUpdater(
-                        state.stable, self._update_layers(physical),
-                        state.sparse_index,
-                    )
+                    updater = self._updater(physical)
                     staged.append((updater, updater.prepare(sub)))
                 return sum(u.commit_staged(s) for u, s in staged)
-        state = self._manager.state_of(table)
-        return BatchUpdater(
-            state.stable, self._update_layers(table), state.sparse_index
-        ).apply(ops)
+        return self._updater(table).apply(ops)
 
     # -- query-level isolation (footnote 5) -------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.pdt import PDT
-from ..db.update_processor import BatchUpdater, PositionalUpdater
+from ..db.update_processor import PositionalUpdater
 from ..storage.schema import DataType, Schema
 from ..storage.sparse_index import SparseIndex
 from ..storage.table import StableTable
@@ -180,16 +180,17 @@ def apply_ops_pdt(table: StableTable, ops, sparse_index=None,
                   fanout: int = 32, bulk: bool = False) -> PDT:
     """Apply a generated op stream through the positional machinery.
 
-    ``bulk=True`` routes the whole stream through
-    :class:`~repro.db.update_processor.BatchUpdater` in one batch; the
-    default per-op scalar path is the differential-testing oracle (and
-    what the maintenance-cost benchmarks deliberately measure).
+    ``bulk=True`` hands the whole stream to
+    :class:`~repro.db.update_processor.PositionalUpdater` as one batch;
+    the default applies it one op at a time, each a batch of one — the
+    trickle-update shape the maintenance-cost benchmarks measure. Both
+    produce the same PDT.
     """
     pdt = PDT(table.schema, fanout=fanout)
-    if bulk:
-        BatchUpdater(table, [pdt], sparse_index).apply(canonical_ops(ops))
-        return pdt
     updater = PositionalUpdater(table, [pdt], sparse_index)
+    if bulk:
+        updater.apply(canonical_ops(ops))
+        return pdt
     for op in ops:
         if op[0] == "ins":
             updater.insert(op[1])

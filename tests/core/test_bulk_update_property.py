@@ -1,12 +1,15 @@
-"""Differential properties of the vectorized bulk-update path.
+"""Differential properties of the vectorized update path.
 
-The scalar :class:`~repro.db.update_processor.PositionalUpdater` applies a
-batch one operation at a time, re-resolving positions per row — slow but
-close to the paper's pseudocode, which makes it the oracle. The
-vectorized :class:`~repro.db.update_processor.BatchUpdater` must produce
-*identical* results from the same batch: the same merged table image, the
-same PDT entry sequence (SIDs, RIDs, kinds, payloads), and no effect on
-the stable table or its sparse index. Likewise ``propagate_batch`` (the
+The scalar :class:`~tests.core.scalar_updater.ScalarUpdater` applies a
+batch one operation at a time, re-resolving positions per row with a
+tuple-at-a-time walk — slow but close to the paper's pseudocode, which
+makes it the oracle. The runtime
+:class:`~repro.db.update_processor.PositionalUpdater` must produce
+*identical* results from the same ops, whether they arrive as one batch
+or one op at a time (each a batch of one, the path single-row statements
+take): the same merged table image, the same PDT entry sequence (SIDs,
+RIDs, kinds, payloads), the same returned RIDs, and no effect on the
+stable table or its sparse index. Likewise ``propagate_batch`` (the
 sorted-run merge fold) must match the per-entry ``propagate``.
 
 Randomized batches deliberately cover the hostile shapes: ghost-tuple
@@ -22,10 +25,11 @@ from hypothesis import strategies as st
 
 from repro import DataType, FlatPDT, PDT, Schema, propagate, propagate_batch
 from repro.core.stack import image_rows
-from repro.db import BatchUpdater, DuplicateKey, KeyNotFound, \
-    PositionalUpdater
+from repro.db import DuplicateKey, KeyNotFound, PositionalUpdater
 from repro.storage.sparse_index import SparseIndex
 from repro.storage.table import StableTable
+
+from .scalar_updater import ScalarUpdater, apply_ops
 
 N_STABLE = 40  # keys 0, 2, ..., 78; several 8-row sparse granules
 
@@ -89,14 +93,19 @@ def gen_batch(rng, schema, live, n_ops, reuse_keys=False):
 
 
 def apply_scalar(stable, layers, index, ops):
+    """The oracle: one op at a time, tuple-at-a-time resolution."""
+    return apply_ops(ScalarUpdater(stable, layers, index), ops)
+
+
+def apply_candidate(stable, layers, index, ops, per_op, oracle_rids):
+    """Apply ``ops`` through the runtime path under test: as one batch,
+    or (``per_op``) one op at a time, each a batch of one, whose returned
+    RIDs must equal the oracle's."""
     updater = PositionalUpdater(stable, layers, index)
-    for op in ops:
-        if op[0] == "ins":
-            updater.insert(op[1])
-        elif op[0] == "del":
-            updater.delete_by_key(op[1])
-        else:
-            updater.modify_by_key(op[1], op[2], op[3])
+    if per_op:
+        assert apply_ops(updater, ops) == oracle_rids
+    else:
+        assert updater.apply(ops) == len(ops)
 
 
 def assert_equivalent(stable, oracle_layers, batch_layers):
@@ -109,10 +118,16 @@ def assert_equivalent(stable, oracle_layers, batch_layers):
 
 
 class TestBatchVersusScalarOracle:
+    """Every differential draws ``per_op``: the candidate applies the ops
+    as one batch, or one op at a time through the single-row methods.
+    Per-op, every op after the first is a batch of one landing on a
+    non-empty top layer (the scalar-primitive branch)."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 30), st.booleans(),
-           st.booleans())
-    def test_single_layer_empty_top(self, seed, n_ops, reuse, use_flat):
+           st.booleans(), st.booleans())
+    def test_single_layer_empty_top(self, seed, n_ops, reuse, use_flat,
+                                    per_op):
         """Random batches into a fresh top layer (fast bulk-append path
         when runs are simple, scalar-primitive path otherwise)."""
         schema = make_schema()
@@ -123,14 +138,14 @@ class TestBatchVersusScalarOracle:
                         n_ops, reuse_keys=reuse)
         cls = FlatPDT if use_flat else PDT
         oracle, batch = cls(schema), cls(schema)
-        apply_scalar(stable, [oracle], index, ops)
-        applied = BatchUpdater(stable, [batch], index).apply(ops)
-        assert applied == len(ops)
+        rids = apply_scalar(stable, [oracle], index, ops)
+        apply_candidate(stable, [batch], index, ops, per_op, rids)
         assert_equivalent(stable, [oracle], [batch])
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 25), st.integers(1, 25))
-    def test_non_empty_top_layer(self, seed, n_pre, n_ops):
+    @given(st.integers(0, 10_000), st.integers(1, 25), st.integers(1, 25),
+           st.booleans())
+    def test_non_empty_top_layer(self, seed, n_pre, n_ops, per_op):
         """A batch landing on a top layer that already carries updates
         must thread its positions through the existing entries."""
         schema = make_schema()
@@ -143,13 +158,14 @@ class TestBatchVersusScalarOracle:
         oracle, batch = PDT(schema), PDT(schema)
         apply_scalar(stable, [oracle], index, pre)
         apply_scalar(stable, [batch], index, pre)
-        apply_scalar(stable, [oracle], index, ops)
-        BatchUpdater(stable, [batch], index).apply(ops)
+        rids = apply_scalar(stable, [oracle], index, ops)
+        apply_candidate(stable, [batch], index, ops, per_op, rids)
         assert_equivalent(stable, [oracle], [batch])
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 20), st.integers(1, 20))
-    def test_layer_stack(self, seed, n_lower, n_ops):
+    @given(st.integers(0, 10_000), st.integers(1, 20), st.integers(1, 20),
+           st.booleans())
+    def test_layer_stack(self, seed, n_lower, n_ops, per_op):
         """Batches address the merged image through lower layers exactly
         like the scalar path (updates land in the top layer only)."""
         schema = make_schema()
@@ -162,13 +178,13 @@ class TestBatchVersusScalarOracle:
         lower = PDT(schema)
         apply_scalar(stable, [lower], index, lower_ops)
         oracle, batch = PDT(schema), PDT(schema)
-        apply_scalar(stable, [lower, oracle], index, ops)
-        BatchUpdater(stable, [lower, batch], index).apply(ops)
+        rids = apply_scalar(stable, [lower, oracle], index, ops)
+        apply_candidate(stable, [lower, batch], index, ops, per_op, rids)
         assert_equivalent(stable, [lower, oracle], [lower, batch])
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 25))
-    def test_multi_column_keys(self, seed, n_ops):
+    @given(st.integers(0, 10_000), st.integers(1, 25), st.booleans())
+    def test_multi_column_keys(self, seed, n_ops, per_op):
         schema = make_schema(n_key_cols=2)
         stable = make_stable(schema)
         index = SparseIndex(stable, granularity=8)
@@ -176,8 +192,8 @@ class TestBatchVersusScalarOracle:
         ops = gen_batch(rng, schema, {r[0] for r in stable.rows()}, n_ops,
                         reuse_keys=True)
         oracle, batch = PDT(schema), PDT(schema)
-        apply_scalar(stable, [oracle], index, ops)
-        BatchUpdater(stable, [batch], index).apply(ops)
+        rids = apply_scalar(stable, [oracle], index, ops)
+        apply_candidate(stable, [batch], index, ops, per_op, rids)
         assert_equivalent(stable, [oracle], [batch])
 
     @settings(max_examples=25, deadline=None)
@@ -194,8 +210,8 @@ class TestBatchVersusScalarOracle:
         ops = gen_batch(rng, schema, {r[0] for r in stable.rows()}, n_ops,
                         reuse_keys=True)
         with_index, without = PDT(schema), PDT(schema)
-        BatchUpdater(stable, [with_index], index).apply(ops)
-        BatchUpdater(stable, [without], None).apply(ops)
+        PositionalUpdater(stable, [with_index], index).apply(ops)
+        PositionalUpdater(stable, [without], None).apply(ops)
         assert materialized_entries(with_index) == \
             materialized_entries(without)
         assert (index.num_rows, list(index._max_keys)) == before
@@ -212,7 +228,7 @@ class TestBatchEdgeCases:
         apply_scalar(self.stable, [oracle], self.index, pre)
         apply_scalar(self.stable, [batch], self.index, pre)
         apply_scalar(self.stable, [oracle], self.index, ops)
-        BatchUpdater(self.stable, [batch], self.index).apply(ops)
+        PositionalUpdater(self.stable, [batch], self.index).apply(ops)
         assert_equivalent(self.stable, [oracle], [batch])
         return batch
 
@@ -246,17 +262,17 @@ class TestBatchEdgeCases:
         ops = [("ins", (3, 1, "x")), ("ins", (1, 2, "y")),
                ("mod", (1,), "a", 9)]
         apply_scalar(empty, [oracle], None, ops)
-        BatchUpdater(empty, [batch], None).apply(ops)
+        PositionalUpdater(empty, [batch], None).apply(ops)
         assert_equivalent(empty, [oracle], [batch])
 
     def test_empty_batch(self):
         pdt = PDT(self.schema)
-        assert BatchUpdater(self.stable, [pdt], self.index).apply([]) == 0
+        assert PositionalUpdater(self.stable, [pdt], self.index).apply([]) == 0
         assert pdt.is_empty()
 
     def test_validation_is_all_or_nothing(self):
         pdt = PDT(self.schema)
-        updater = BatchUpdater(self.stable, [pdt], self.index)
+        updater = PositionalUpdater(self.stable, [pdt], self.index)
         try:
             updater.apply([("ins", (11, 1, "x")), ("del", (999,))])
         except KeyNotFound:
@@ -267,7 +283,7 @@ class TestBatchEdgeCases:
 
     def test_duplicate_insert_rejected(self):
         pdt = PDT(self.schema)
-        updater = BatchUpdater(self.stable, [pdt], self.index)
+        updater = PositionalUpdater(self.stable, [pdt], self.index)
         for bad in ([("ins", (10, 1, "x"))],
                     [("ins", (11, 1, "x")), ("ins", (11, 2, "y"))]):
             try:
@@ -279,7 +295,8 @@ class TestBatchEdgeCases:
             assert pdt.is_empty()
 
     def test_sort_key_modify_rejected(self):
-        updater = BatchUpdater(self.stable, [PDT(self.schema)], self.index)
+        updater = PositionalUpdater(self.stable, [PDT(self.schema)],
+                                    self.index)
         try:
             updater.apply([("mod", (10,), "k0", 11)])
         except ValueError:

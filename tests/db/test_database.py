@@ -3,15 +3,11 @@
 import pytest
 
 from repro import Database, DataType, Schema
-from repro.db import (
-    DuplicateKey,
-    KeyNotFound,
-    PositionalUpdater,
-    find_insert_position,
-    find_rid_by_key,
-)
+from repro.db import DuplicateKey, KeyNotFound, PositionalUpdater
 from repro.core import PDT
 from repro.storage import SparseIndex, StableTable
+
+from ..core.scalar_updater import find_insert_position, find_rid_by_key
 
 
 def schema3():

@@ -3,7 +3,8 @@
 The paper's update load: RF1/RF2 pairs inserting and deleting ~0.1% of
 orders and lineitem, scattered across the SK-ordered tables. The bulk
 path (one ``apply_batch`` per table per refresh half) must land the exact
-same image as the scalar per-row oracle and as the set-wise ground truth
+same image as per-statement refresh (one ``insert``/``delete`` per row,
+:func:`apply_per_row`) and as the set-wise ground truth
 ``RefreshApplier.post_update_rows`` — at more than one scale factor, so
 batches cross sparse-granule and block boundaries differently.
 """
@@ -13,6 +14,21 @@ import pytest
 from repro.tpch import RefreshApplier, generate, load_database
 
 SCALES = [0.001, 0.003]
+
+
+def apply_per_row(applier, db):
+    """Every refresh pair as RF1 then RF2, one ``insert``/``delete``
+    statement per row: the per-statement counterpart of
+    ``RefreshApplier.apply_all_pdt``."""
+    for pair in applier.data.refreshes:
+        for half in applier.refresh_ops(pair):
+            with db.transaction() as txn:
+                for table, ops in half.items():
+                    for tag, payload in ops:
+                        if tag == "ins":
+                            txn.insert(table, payload)
+                        else:
+                            txn.delete(table, payload)
 
 
 @pytest.fixture(scope="module", params=SCALES, ids=lambda s: f"sf{s}")
@@ -27,18 +43,18 @@ class TestBulkRefreshStreams:
         the set-wise reference for every updated table."""
         data, applier = env
         db = load_database(data, compressed=False)
-        applier.apply_all_pdt(db, bulk=True)
+        applier.apply_all_pdt(db)
         for table in ("orders", "lineitem"):
             assert db.image_rows(table) == applier.post_update_rows(table)
 
     def test_bulk_path_matches_scalar_oracle(self, env):
-        """Bulk and scalar application must agree entry-for-entry on the
-        final delta state, not just on the merged image."""
+        """Batched and per-statement refresh must agree entry-for-entry on
+        the final delta state, not just on the merged image."""
         data, applier = env
         bulk_db = load_database(data, compressed=False)
         scalar_db = load_database(data, compressed=False)
-        applier.apply_all_pdt(bulk_db, bulk=True)
-        applier.apply_all_pdt(scalar_db, bulk=False)
+        applier.apply_all_pdt(bulk_db)
+        apply_per_row(applier, scalar_db)
         for table in ("orders", "lineitem"):
             assert bulk_db.image_rows(table) == scalar_db.image_rows(table)
             bulk_state = bulk_db.manager.state_of(table)
@@ -51,7 +67,7 @@ class TestBulkRefreshStreams:
         carrying both tables' entry lists."""
         data, applier = env
         db = load_database(data, compressed=False)
-        applier.apply_all_pdt(db, bulk=True)
+        applier.apply_all_pdt(db)
         assert len(db.manager.wal) == 2 * len(data.refreshes)
         rf1 = db.manager.wal.records[0]
         assert set(rf1.tables) == {"orders", "lineitem"}

@@ -310,3 +310,45 @@ def test_range_checkpoint_preserves_sparse_index_queries():
     assert ks[0] >= 130 and ks[-1] <= 170
     by_key = dict(zip(rel["k"].tolist(), rel["v"].tolist()))
     assert by_key[140] == 70 + 5000
+
+
+def test_concurrent_drains_run_deferred_work_once():
+    """Commit listeners, between-query drains and the service's pool
+    thread all drain the deferred queue; racing drains must execute each
+    deferred decision exactly once and leave the queue empty."""
+    import sys
+    import threading
+
+    db = fresh_db(policy="updates:5", n_rows=2_000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(30):
+            blocker = db.begin()
+            for i in range(8):
+                db.modify("t", (i * 2,), "v", round_no)
+            assert db.scheduler.pending()
+            blocker.abort()
+            before = db.scheduler.stats.checkpoints
+            start = threading.Barrier(6)
+            errors = []
+
+            def drain():
+                try:
+                    start.wait(timeout=10)
+                    db.scheduler.run_pending()
+                except Exception as exc:  # reported by the assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=drain) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert db.scheduler.stats.checkpoints == before + 1
+            assert not db.scheduler.pending()
+    finally:
+        sys.setswitchinterval(interval)
+        db.close()
