@@ -82,8 +82,8 @@ def main() -> None:
     print(f"\nrecovered from WAL: {recovered.sharded('users').num_shards} "
           f"shards, boundaries intact, {recovered.row_count('users')} rows")
 
-    # join both databases' shard-scan executors so the interpreter exits
-    # cleanly (Database is also usable as a context manager)
+    # release both databases' storage and executors so the interpreter
+    # exits cleanly (Database is also usable as a context manager)
     recovered.close()
     db.close()
 

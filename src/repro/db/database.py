@@ -25,8 +25,8 @@ and safe to read from any thread at any time.
 
 Lifecycle contract: construct → use → :meth:`close` (or use the instance
 as a context manager). ``close()`` closes attached services (joining
-their worker threads), shuts down shard scan executors and worker
-processes, and releases storage handles; after it, queries raise. A
+their worker threads), reaps executor worker processes, and releases
+storage handles; after it, queries raise. A
 durable database killed *without* ``close()`` loses nothing:
 :meth:`recover` (or constructing over the same ``storage_path``) rebuilds
 tables from the published catalogs and replays the WAL — every
@@ -42,11 +42,10 @@ implementation.
 from __future__ import annotations
 
 import contextlib
-
-import numpy as np
+import time
 
 from ..engine.relation import Relation
-from ..engine.scan import ScanTimer, scan_pdt
+from ..engine.scan import ScanTimer
 from ..storage.backend import MAIN_SCOPE, resolve_storage
 from ..storage.blocks import BlockStore, DEFAULT_BLOCK_ROWS
 from ..storage.buffer import BufferPool
@@ -108,14 +107,15 @@ class Database:
         ``overdue_pin_warnings``) whenever maintenance is deferred by a
         snapshot pin older than this — a stuck client made observable.
     ``executor``
-        How fanned-out shard scans execute: ``"thread"`` (default — the
-        in-process pools, one core under the GIL) or ``"process"`` —
-        per-shard jobs are dispatched to :mod:`repro.exec` worker
-        processes that mmap the published segment files read-only and
-        stream result blocks back through shared memory. Process mode
-        needs ``storage="mmap"`` (it degrades to threads otherwise) and
-        falls back per-job for state that is not on disk. ``None``
-        consults ``REPRO_EXECUTOR``.
+        Where a read plan's per-shard scans run: ``"thread"`` (default —
+        inline on the calling thread, one shard after another) or
+        ``"process"`` — per-shard jobs are dispatched to
+        :mod:`repro.exec` worker processes that mmap the published
+        segment files read-only and stream result blocks back through
+        shared memory. Process mode needs ``storage="mmap"`` (it degrades
+        to ``"thread"`` otherwise) and runs a job inline when its state
+        is not on disk or its SID span is too small to be worth the hop.
+        ``None`` consults ``REPRO_EXECUTOR``.
     ``workers``
         Process-pool size for ``executor="process"`` (default:
         ``min(4, cpu_count)``).
@@ -314,8 +314,7 @@ class Database:
     def create_sharded_table(self, name: str, schema: Schema, rows=(),
                              shards: int = 4, boundaries=None,
                              split_rows: int | None = None,
-                             merge_rows: int | None = None,
-                             parallel: bool = True):
+                             merge_rows: int | None = None):
         """Create a range-sharded logical table (see :mod:`repro.shard`).
 
         Each shard is a full physical table (own stable image, PDT stack,
@@ -333,7 +332,7 @@ class Database:
             raise ValueError(f"table {name!r} already exists")
         sharded = ShardedTable.create(
             self, name, schema, rows, shards=shards, boundaries=boundaries,
-            split_rows=split_rows, merge_rows=merge_rows, parallel=parallel,
+            split_rows=split_rows, merge_rows=merge_rows,
         )
         self._sharded[name] = sharded
         return sharded
@@ -341,8 +340,7 @@ class Database:
     def create_sharded_table_from_arrays(self, name: str, schema: Schema,
                                          arrays: dict, shards: int = 4,
                                          split_rows: int | None = None,
-                                         merge_rows: int | None = None,
-                                         parallel: bool = True):
+                                         merge_rows: int | None = None):
         """Sharded twin of :meth:`create_table_from_arrays`: pre-sorted
         columnar data is sliced per shard with no per-row coercion."""
         from ..shard.sharded import ShardedTable
@@ -351,7 +349,7 @@ class Database:
             raise ValueError(f"table {name!r} already exists")
         sharded = ShardedTable.create_from_arrays(
             self, name, schema, arrays, shards=shards,
-            split_rows=split_rows, merge_rows=merge_rows, parallel=parallel,
+            split_rows=split_rows, merge_rows=merge_rows,
         )
         self._sharded[name] = sharded
         return sharded
@@ -476,279 +474,102 @@ class Database:
               where=None, aggregate=None) -> Relation:
         """Scan the latest committed state (positional merge, no locks).
 
-        Only the named ``columns`` are read from storage. Maintenance the
-        checkpoint scheduler had to defer (because transactions were
-        running when its policy fired) is drained here, *between* queries,
-        so PDT layers shrink back without a stop-the-world pause. Sharded
-        tables additionally run the shard rebalancer here, then fan the
-        scan out one MergeScan pipeline per shard.
+        Only the named ``columns`` are read from storage. Like every
+        ``Database`` read, the scan is planned against a snapshot pin and
+        executed inline (see :meth:`query_range`); without ``pin`` the
+        between-queries maintenance hook (:meth:`drain_maintenance`) runs
+        first, so deferred checkpoints fold and sharded tables rebalance
+        without a stop-the-world pause.
 
         ``sk`` adds an equality predicate on the sort key (or an SK
-        prefix): the lookup routes through the shard router to the owning
-        shard and through its sparse index to the qualifying SID range,
-        instead of fanning out (see :meth:`query_point`). ``pin`` scans a
-        :meth:`pin_snapshot` version instead of the latest state.
+        prefix) and, without ``pin``/``where``/``aggregate``, is answered
+        by :meth:`query_point`. ``pin`` scans a :meth:`pin_snapshot`
+        version instead of the latest state.
 
         ``where`` (a :class:`~repro.engine.expr.Expr`) and ``aggregate``
         (an :class:`~repro.engine.expr.AggSpec`) push filtering and
-        partial aggregation into the shard scans themselves: the router
+        partial aggregation into the shard scans themselves: the plan
         prunes shards whose sort-key ranges cannot satisfy the predicate,
         and only qualifying (or pre-aggregated) rows are materialized.
         Results are identical to scanning everything and filtering /
         aggregating centrally.
         """
-        with self.obs.query_scope(table) as q:
-            rel = self._query_impl(table, columns, timer, batch_rows, sk,
-                                   pin, where, aggregate)
-            if q is not None:
-                q["rows"] = rel.num_rows
-            return rel
-
-    def _query_impl(self, table, columns, timer, batch_rows, sk, pin,
-                    where=None, aggregate=None) -> Relation:
-        if where is not None or aggregate is not None:
-            # Push-down rides the planned (pinned) scan path — plan_scan
-            # owns predicate pruning and partial-aggregate merging. An
-            # ephemeral pin of the current commit point keeps "latest
-            # state" semantics.
-            if pin is not None:
-                return self._query_pinned(table, pin, low=sk, high=sk,
-                                          columns=columns, timer=timer,
-                                          batch_rows=batch_rows,
-                                          where=where, aggregate=aggregate)
-            with self.pin_snapshot() as auto_pin:
-                return self._query_pinned(table, auto_pin, low=sk, high=sk,
-                                          columns=columns, timer=timer,
-                                          batch_rows=batch_rows,
-                                          where=where, aggregate=aggregate)
-        if pin is not None:
-            return self._query_pinned(table, pin, low=sk, high=sk,
-                                      columns=columns, timer=timer,
-                                      batch_rows=batch_rows)
-        if sk is not None:
+        if sk is not None and pin is None and where is None \
+                and aggregate is None:
             return self.query_point(table, sk, columns=columns,
                                     batch_rows=batch_rows, timer=timer)
-        if table in self._sharded:
-            return self._query_sharded(table, columns, timer, batch_rows)
-        self.scheduler.run_pending(table)
-        state = self.manager.state_of(table)
-        return scan_pdt(
-            state.stable,
-            self.manager.latest_layers(table),
-            columns=columns,
-            timer=timer,
-            batch_rows=batch_rows,
-        )
+        return self._read(table, sk, sk, columns, timer, batch_rows, pin,
+                          where, aggregate)
 
     def query_point(self, table: str, sk, columns=None,
                     batch_rows: int = 4096,
                     timer: ScanTimer | None = None) -> Relation:
         """Rows whose sort key equals ``sk`` (or extends it, for an SK
-        prefix).
-
-        The point twin of :meth:`query_range`: a sharded table routes
-        through the :class:`~repro.shard.ShardRouter` to the single
-        owning shard (full keys route in O(log shards); prefix keys fall
-        back to the prefix-aware range pruning), then the shard's sparse
-        index narrows the MergeScan to the qualifying SID range — no
-        fan-out, cold shards untouched.
+        prefix): the latest-state range plan with ``low == high == sk``.
+        A sharded table prunes to the owning shard (a prefix may keep
+        every shard whose range can hold an extension of it), and that
+        shard's sparse index narrows the MergeScan to the qualifying SID
+        range — no fan-out, cold shards untouched.
         """
-        with self.obs.query_scope(table) as q:
-            rel = self._query_point_impl(table, sk, columns, batch_rows,
-                                         timer)
-            if q is not None:
-                q["rows"] = rel.num_rows
-            return rel
-
-    def _query_point_impl(self, table, sk, columns, batch_rows, timer
-                          ) -> Relation:
-        import time
-
         sk = tuple(sk)
-        start = time.perf_counter()
-        if table in self._sharded:
-            sharded = self._sharded[table]
-            if len(sk) < len(sharded.schema.sort_key):
-                # A prefix may straddle a boundary sharing it; the range
-                # path prunes prefix-aware.
-                rel = self.query_range(table, low=sk, high=sk,
-                                       columns=columns,
-                                       batch_rows=batch_rows)
-            else:
-                with sharded.merge_io_after():
-                    rel = self._range_scan_physical(
-                        sharded.physical_for(sk), sk, sk, columns,
-                        batch_rows)
-        else:
-            rel = self._range_scan_physical(table, sk, sk, columns,
-                                            batch_rows)
-        if timer is not None:
-            timer.add(table, time.perf_counter() - start)
-        return rel
-
-    def _query_pinned(self, table: str, pin, low=None, high=None,
-                      columns=None, timer: ScanTimer | None = None,
-                      batch_rows: int = 4096, where=None,
-                      aggregate=None) -> Relation:
-        """Materialize a scan of a pinned version (shared by ``query`` and
-        ``query_range`` with ``pin=``): planned and pruned exactly like a
-        service read, executed inline. ``where``/``aggregate`` push the
-        predicate and partial aggregation into the shard scans."""
-        import time
-
-        from ..service.plan import iter_plan_blocks, plan_scan
-
-        plan = plan_scan(pin, table, low=low, high=high, columns=columns,
-                         where=where, agg=aggregate)
-        start = time.perf_counter()
-        io_scope = (
-            self._sharded[table].merge_io_after()
-            if table in self._sharded else contextlib.nullcontext()
-        )
-        with io_scope:
-            rel = Relation.from_batches(
-                plan.columns,
-                iter_plan_blocks(plan, block_rows=batch_rows,
-                                 router=self.exec_router),
-            )
-        if timer is not None:
-            timer.add(table, time.perf_counter() - start)
-        return rel
-
-    def _query_sharded(self, table: str, columns, timer, batch_rows
-                       ) -> Relation:
-        import time
-
-        sharded = self._sharded[table]
-        for shard in sharded.shard_names:
-            self.scheduler.run_pending(shard)
-        sharded.maybe_rebalance()
-        if columns is None:
-            columns = list(sharded.schema.column_names)
-        else:
-            columns = list(columns)
-        start = time.perf_counter()
-        rel = Relation.from_batches(
-            columns,
-            sharded.scan_blocks(columns=columns, batch_rows=batch_rows),
-        )
-        if timer is not None:
-            timer.add(table, time.perf_counter() - start)
-        return rel
+        return self._read(table, sk, sk, columns, timer, batch_rows)
 
     def query_range(self, table: str, low=None, high=None, columns=None,
                     batch_rows: int = 4096, pin=None, where=None,
                     aggregate=None) -> Relation:
         """Rows whose sort key (or SK prefix) lies in ``[low, high]``.
 
-        Uses the table's *stale* sparse index — built once on the stable
-        image and never maintained — to restrict the positional MergeScan
-        to the qualifying SID range; ghost-respecting SID assignment keeps
-        the pruning correct under any update load (paper section 2.1,
-        "Respecting Deletes"). ``pin`` evaluates the range against a
-        :meth:`pin_snapshot` version instead of the latest state.
-        ``where``/``aggregate`` push filtering and partial aggregation
-        into the shard scans (see :meth:`query`).
+        Every ``Database`` read takes this one path: pin → plan →
+        execute. Without ``pin`` the maintenance hook runs and an
+        ephemeral pin of this table alone names the latest committed
+        state.
+        :func:`~repro.service.plan.plan_scan` then routes the bounds to
+        the shards whose key ranges intersect them, and each surviving
+        shard's *stale* sparse index — built once on the stable image and
+        never maintained — restricts the positional MergeScan to the
+        qualifying SID range; ghost-respecting SID assignment keeps the
+        pruning correct under any update load (paper section 2.1,
+        "Respecting Deletes"). The plan executes inline on the calling
+        thread, or on shard worker processes with ``executor="process"``.
+        ``pin`` evaluates the range against a :meth:`pin_snapshot`
+        version instead. ``where``/``aggregate`` push filtering and
+        partial aggregation into the shard scans (see :meth:`query`).
         """
-        with self.obs.query_scope(table) as q:
-            rel = self._query_range_impl(table, low, high, columns,
-                                         batch_rows, pin, where, aggregate)
-            if q is not None:
-                q["rows"] = rel.num_rows
+        return self._read(table, low, high, columns, None, batch_rows, pin,
+                          where, aggregate)
+
+    def _read(self, table: str, low, high, columns, timer, batch_rows,
+              pin=None, where=None, aggregate=None) -> Relation:
+        """The one read path behind ``query``/``query_point``/
+        ``query_range``: maintain and pin (unless pinned by the caller),
+        plan, then execute the plan inline into a relation."""
+        from ..service.plan import iter_plan_blocks, plan_scan
+
+        with self.obs.query_scope(table) as info:
+            if pin is None:
+                if table not in self._sharded:
+                    self.manager.state_of(table)  # unknown names fail here
+                self.drain_maintenance(table)
+            pinned = self.manager.pin_snapshot([table]) if pin is None \
+                else contextlib.nullcontext(pin)
+            io_scope = (
+                self._sharded[table].merge_io_after()
+                if table in self._sharded else contextlib.nullcontext()
+            )
+            with pinned as read_pin, io_scope:
+                plan = plan_scan(read_pin, table, low=low, high=high,
+                                 columns=columns, where=where,
+                                 agg=aggregate)
+                start = time.perf_counter()
+                rel = Relation.from_batches(
+                    plan.columns,
+                    iter_plan_blocks(plan, block_rows=batch_rows,
+                                     router=self.exec_router),
+                )
+            if timer is not None:
+                timer.add(table, time.perf_counter() - start)
+            info["rows"] = rel.num_rows
             return rel
-
-    def _query_range_impl(self, table, low, high, columns, batch_rows,
-                          pin, where=None, aggregate=None) -> Relation:
-        if where is not None or aggregate is not None:
-            if pin is not None:
-                return self._query_pinned(table, pin, low=low, high=high,
-                                          columns=columns,
-                                          batch_rows=batch_rows,
-                                          where=where, aggregate=aggregate)
-            with self.pin_snapshot() as auto_pin:
-                return self._query_pinned(table, auto_pin, low=low,
-                                          high=high, columns=columns,
-                                          batch_rows=batch_rows,
-                                          where=where, aggregate=aggregate)
-        if pin is not None:
-            return self._query_pinned(table, pin, low=low, high=high,
-                                      columns=columns,
-                                      batch_rows=batch_rows)
-        if table in self._sharded:
-            return self._query_range_sharded(table, low, high, columns,
-                                             batch_rows)
-        return self._range_scan_physical(table, low, high, columns,
-                                         batch_rows)
-
-    def _range_scan_physical(self, physical: str, low, high, columns,
-                             batch_rows: int) -> Relation:
-        """Sparse-index-pruned MergeScan of one physical table, filtered
-        to the inclusive ``[low, high]`` sort-key bounds — the shared body
-        of ``query_range`` (unsharded) and ``query_point``."""
-        from ..core.stack import merge_scan_layers
-
-        state = self.manager.state_of(physical)
-        schema = state.stable.schema
-        if columns is None:
-            columns = list(schema.column_names)
-        sid_range = state.sparse_index.sid_range_for_key_range(low, high)
-        scan_cols = list(dict.fromkeys(list(columns) + list(schema.sort_key)))
-        rel = Relation.from_batches(
-            scan_cols,
-            merge_scan_layers(
-                state.stable,
-                self.manager.latest_layers(physical),
-                columns=scan_cols,
-                start=sid_range.start,
-                stop=sid_range.stop,
-                batch_rows=batch_rows,
-            ),
-        )
-        return self._filter_key_range(rel, schema, low, high, columns)
-
-    def _query_range_sharded(self, table: str, low, high, columns,
-                             batch_rows: int) -> Relation:
-        """Range scan over a sharded table: the router prunes to the
-        shards whose key ranges intersect ``[low, high]``, and each
-        surviving shard's (stale) sparse index prunes its own SID range —
-        two levels of pruning before any block is read."""
-        import itertools
-
-        from ..core.stack import merge_scan_layers
-
-        sharded = self._sharded[table]
-        schema = sharded.schema
-        if columns is None:
-            columns = list(schema.column_names)
-        scan_cols = list(dict.fromkeys(list(columns) + list(schema.sort_key)))
-        streams = []
-        for i in sharded.router.shards_for_range(low, high):
-            shard = sharded.shard_names[i]
-            state = self.manager.state_of(shard)
-            sid_range = state.sparse_index.sid_range_for_key_range(low, high)
-            streams.append(merge_scan_layers(
-                state.stable, self.manager.latest_layers(shard),
-                columns=scan_cols, start=sid_range.start,
-                stop=sid_range.stop, batch_rows=batch_rows,
-            ))
-        with sharded.merge_io_after():
-            rel = Relation.from_batches(scan_cols, itertools.chain(*streams))
-        return self._filter_key_range(rel, schema, low, high, columns)
-
-    @staticmethod
-    def _filter_key_range(rel: Relation, schema, low, high,
-                          columns) -> Relation:
-        """Apply the inclusive (prefix-aware) ``[low, high]`` sort-key
-        predicate and project to the requested columns."""
-        from ..engine import functions as fn
-
-        key_arrays = [rel[c] for c in schema.sort_key]
-        mask = np.ones(rel.num_rows, dtype=bool)
-        if low is not None:
-            mask &= fn.lex_ge(key_arrays, low)
-        if high is not None:
-            mask &= fn.lex_le(key_arrays, high)
-        return rel.filter(mask).select(*columns)
 
     def image_rows(self, table: str) -> list[tuple]:
         from ..core.stack import image_rows
@@ -791,6 +612,30 @@ class Database:
             return
         checkpoint_table(self.manager, table)
 
+    def drain_maintenance(self, table: str | None = None) -> bool:
+        """The between-queries maintenance hook: retry the checkpoints
+        the scheduler deferred (for ``table``, or for its shards when it
+        is sharded), then run the shard rebalancer on sharded tables.
+        ``table=None`` drains every table. Inline reads call it before
+        they pin; :class:`~repro.service.QueryService` calls it between
+        requests, under its commit lock and the scheduler lock. Returns
+        True when anything ran."""
+        if table is None:
+            worked = self.scheduler.run_pending()
+            sharded = list(self._sharded.values())
+        elif table in self._sharded:
+            sharded = [self._sharded[table]]
+            worked = False
+            for shard in sharded[0].shard_names:
+                worked = self.scheduler.run_pending(shard) or worked
+        else:
+            return self.scheduler.run_pending(table)
+        for st in sharded:
+            # maybe_rebalance also drops retired-shard storage whose pins
+            # have gone, at its quiescent entry point.
+            worked = bool(st.maybe_rebalance()) or worked
+        return worked
+
     def rebalance(self, table: str) -> int:
         """Run the shard rebalancer now; returns actions taken. (It also
         runs autonomously between queries on sharded tables.)"""
@@ -806,9 +651,9 @@ class Database:
 
     def close(self) -> None:
         """Shut the database down cleanly: close attached query services
-        (joining their workers), join every sharded table's scan
-        executor, and drop retired-shard storage. Idempotent; after it,
-        the interpreter exits without lingering pool threads. Usable as a
+        (joining their workers), drop retired-shard storage and reap the
+        executor's worker processes. Idempotent; after it, the
+        interpreter exits without lingering pool threads. Usable as a
         context manager::
 
             with Database() as db:

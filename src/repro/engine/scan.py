@@ -122,37 +122,23 @@ def rebase_block_streams(parts):
         offset += produced
 
 
-def fanout_scan_blocks(sources, executor=None):
+def fanout_scan_blocks(sources, executor):
     """Fan a scan out over partitions and re-concatenate in key order.
 
     ``sources`` is an ordered list of zero-argument callables, each
     returning a ``(first_rid, {column: ndarray})`` block stream over one
-    partition's *local* RID domain (starting at 0). Partitions are scanned
-    — in parallel when an ``executor`` (``concurrent.futures``-style) is
-    given, otherwise sequentially — and their blocks are re-concatenated
-    by :func:`rebase_block_streams`.
-
-    With an executor every partition's stream is materialized inside its
-    worker; block *contents* are untouched either way (pass-through arrays
-    stay pass-through).
-
-    An executor exposing ``submit_stream`` (the multiprocess
-    :class:`repro.exec.router.ExecutorRouter`) gets the source object
-    itself, so it can ship the partition to a worker process when the
-    source carries remote identity (see :class:`repro.exec.ScanSource`)
-    instead of running the thunk on a thread.
+    partition's *local* RID domain (starting at 0); their blocks are
+    re-concatenated by :func:`rebase_block_streams`. ``executor`` (the
+    process-mode :class:`repro.exec.router.ExecutorRouter`) gets every
+    source object up front through ``submit_stream``, so it can ship each
+    partition to a worker process when the source carries remote
+    identity (see :class:`repro.exec.ScanSource`) and run the others
+    locally; block *contents* are untouched either way. Sequential,
+    in-process scans need no fan-out: they chain their streams through
+    :func:`rebase_block_streams` directly.
     """
-    if executor is not None:
-        submit_stream = getattr(executor, "submit_stream", None)
-        if submit_stream is not None:
-            futures = [submit_stream(s) for s in sources]
-        else:
-            futures = [executor.submit(lambda s=s: list(s()))
-                       for s in sources]
-        parts = (future.result() for future in futures)
-    else:
-        parts = (source() for source in sources)
-    yield from rebase_block_streams(parts)
+    futures = [executor.submit_stream(s) for s in sources]
+    yield from rebase_block_streams(future.result() for future in futures)
 
 
 def scan_vdt(table, vdt, columns=None, timer: ScanTimer | None = None,

@@ -1,16 +1,18 @@
 """ExecutorRouter: per-job dispatch to shard workers, thread fallback.
 
-The router is the single decision point every parallel scan path goes
-through — ``ShardedTable.scan_blocks``, the pinned-plan fan-out, and the
-query service's per-shard jobs. For each job it asks: *is this shard's
+The router is the single decision point both read executors go through
+— the inline execution of a ``Database`` read plan
+(:func:`~repro.service.plan.iter_plan_blocks`) and the query service's
+per-shard jobs. In ``"thread"`` mode every job runs inline on the
+calling thread. In ``"process"`` mode it asks, per job: *is this shard's
 pinned version on disk where a worker process can mmap it?* If yes (mmap
 backend, stable image still storage-attached, published ``image_lsn``
-matching the pinned one, and enough rows to be worth a hop), the job is
-serialized as a pin vector and dispatched to a :class:`ShardWorker`
-process; otherwise it runs on the calling thread exactly as before. The
-fallback is silent and per-job, so ``Database(executor="process")`` is
-always safe — memory-backed databases, unpublished checkpoints, and
-tiny tables simply stay on threads.
+matching the pinned one, and a SID span wide enough to be worth a hop),
+the job is serialized as a pin vector and dispatched to a
+:class:`ShardWorker` process; otherwise it runs locally. The fallback
+is silent and per-job, so ``Database(executor="process")`` is always
+safe — memory-backed databases, unpublished checkpoints, and point or
+short-range jobs simply stay local.
 
 Crash isolation: a worker that dies mid-job (detected by pipe EOF or a
 dead process with a drained pipe) is reaped and replaced; the in-flight
@@ -48,7 +50,7 @@ from .pinvec import scan_payload
 from .transport import DEFAULT_RING_BYTES, ShmRingReader
 
 DEFAULT_WORKERS = 4
-#: Below this many stable rows a process hop costs more than it saves.
+#: Below this many rows of SID span a process hop costs more than it saves.
 MIN_REMOTE_ROWS = 2048
 
 
@@ -167,8 +169,7 @@ class _WorkerHandle:
 class ScanSource:
     """One partition's scan: a local thunk plus optional remote identity.
 
-    Callable (runs the local block pipeline — any plain executor can
-    ``submit(lambda: list(source()))`` it), and carries the pinned-state
+    Callable (runs the local block pipeline), and carries the pinned-state
     references the router needs to build a pin-vector payload at
     dispatch time.
     """
@@ -201,8 +202,8 @@ class ScanSource:
 class ExecutorRouter:
     """Routes per-shard scan jobs to worker processes or threads.
 
-    ``mode`` is ``"thread"`` (every job local — the pre-existing
-    behaviour, zero overhead) or ``"process"``. Workers are spawned
+    ``mode`` is ``"thread"`` (every job inline on the calling thread,
+    zero overhead) or ``"process"``. Workers are spawned
     lazily on first eligible dispatch, so a process-mode database that
     never scans a big mmap table never forks anything.
     """
@@ -315,11 +316,16 @@ class ExecutorRouter:
         """A pin-vector job payload, or None when the job must stay
         local: thread mode, detached stable (a checkpoint retired the
         on-disk image), non-mmap scope, unpublished/mismatched image
-        LSN, or a table too small to be worth the hop."""
+        LSN, or a job whose own SID span — not the table's size — is
+        too small to be worth the hop."""
         if self.mode != "process" or self._closed:
             return None
         pool = getattr(stable, "pool", None)
-        if pool is None or stable.num_rows < self.min_remote_rows:
+        if pool is None:
+            return None
+        hi = stable.num_rows if sid_hi is None \
+            else min(sid_hi, stable.num_rows)
+        if hi - sid_lo < self.min_remote_rows:
             return None
         from ..storage.mmap_backend import MmapFileBackend
 
@@ -500,10 +506,9 @@ class ExecutorRouter:
         return run
 
     def fanout_executor(self):
-        """Executor for block fan-out: the router itself in process mode
-        (callers fall back to their own thread pools on None, including
-        after close — a closed database that still serves reads keeps
-        the pre-router thread behaviour)."""
+        """Executor for block fan-out: the router itself in process mode,
+        None otherwise — also after close, so a closed database that
+        still serves reads runs them inline on the calling thread."""
         return self if self.mode == "process" and not self._closed else None
 
     def _driver_pool(self) -> ThreadPoolExecutor:

@@ -14,7 +14,9 @@ parent. The segment is a single-producer/single-consumer byte ring:
   ``np.frombuffer`` view of the shared segment — zero copies — and
   advances the ring's ``read_pos`` header word only when every view of
   the oldest outstanding frames has been garbage-collected
-  (``weakref.finalize`` refcounts, FIFO reclamation).
+  (``weakref.finalize`` refcounts, FIFO reclamation). Views may outlive
+  the reader: closing it hands the mapping to them (see
+  :meth:`ShmRingReader.close`).
 
 Flow control is the header word: the worker polls ``read_pos`` and
 blocks while the ring is full. A consumer that holds views for a long
@@ -180,18 +182,29 @@ class ShmRingReader:
                 struct.pack_into("<Q", self._shm.buf, 0, advanced)
 
     def close(self) -> None:
-        """Unlink the segment; the mapping itself lives on while any
-        zero-copy view is still referenced (BufferError otherwise)."""
+        """Unlink the segment and drop this reader's mapping.
+
+        Zero-copy views handed out by :meth:`decode` may outlive the
+        reader. While any is referenced the mapping cannot be closed, so
+        its lifetime passes to the views: the buffer protocol keeps the
+        ``mmap`` alive through their exports and unmaps it when the last
+        view is collected. The ``SharedMemory`` handle forgets the map,
+        so neither this call nor its ``__del__`` retries the close (which
+        would raise ``BufferError`` as an unraisable exception)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._frames.clear()
         try:
-            self._shm.close()
-        except BufferError:
-            pass  # live views keep the map; the OS reclaims at exit
-        try:
             self._shm.unlink()
         except FileNotFoundError:
             pass
+        try:
+            self._shm.close()
+        except BufferError:
+            # The live views own the mapping now; close the descriptor.
+            # Relies on CPython's SharedMemory.close skipping a None
+            # _buf/_mmap (test_views_outliving_reader_raise_nothing).
+            self._shm._buf = self._shm._mmap = None
+            self._shm.close()

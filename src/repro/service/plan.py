@@ -1,14 +1,14 @@
 """Planning pinned scans: from a snapshot pin to per-shard scan specs.
 
-Every read through the query service (and every ``Database`` query made
-against an explicit pin) is planned here: the pin's captured shard layout
-routes range predicates to the shards whose key ranges intersect, each
-surviving shard's captured (stale) sparse index narrows the scan to a SID
-range, and the result is an ordered list of :class:`ShardScanSpec` — one
-per shard, each naming exactly the pinned objects a
-:func:`~repro.engine.scan.scan_pdt_blocks` pipeline needs. The same
-two-level pruning ``Database.query_range`` performs on live state, against
-a frozen version.
+Every read of committed state is planned here — through the query
+service and every ``Database`` query, point and range read: the pin's
+captured shard layout routes range predicates to the shards whose key
+ranges intersect, each surviving shard's captured (stale) sparse index
+narrows the scan to a SID range, and the result is an ordered list of
+:class:`ShardScanSpec` — one per shard, each naming exactly the pinned
+objects a :func:`~repro.engine.scan.scan_pdt_blocks` pipeline needs. The
+same plan serves the latest state (an ephemeral pin) and a held pin
+alike.
 
 A spec's :attr:`~ShardScanSpec.share_key` identifies the pinned *version*
 it reads (object identities of the stable image and PDT layers, plus the
@@ -31,6 +31,8 @@ requests only share a physical pass when they compute the same thing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..core.merge import MERGE_BLOCK_ROWS
 from ..engine import expr as ex
@@ -162,20 +164,36 @@ class ScanPlan:
     def filter_block(self, arrays: dict) -> dict | None:
         """Apply the inclusive (prefix-aware) ``[low, high]`` sort-key
         predicate to one block and project to the requested columns;
-        ``None`` when no row qualifies. Blocks the predicate fully covers
-        pass through without copying."""
+        ``None`` when no row qualifies.
+
+        Blocks arrive in sort-key order, so the qualifying rows form one
+        slice: a binary search on the leading key column bounds it, and
+        only a compound bound compares the remaining key columns, inside
+        that slice. Blocks the predicate fully covers pass through
+        without copying; the others come back as slices (views)."""
         keys = [arrays[c] for c in self.sort_key]
-        mask = None
-        if self.low is not None:
-            mask = fn.lex_ge(keys, self.low)
-        if self.high is not None:
-            hi_mask = fn.lex_le(keys, self.high)
-            mask = hi_mask if mask is None else mask & hi_mask
-        if mask is None or mask.all():
-            return {c: arrays[c] for c in self.columns}
-        if not mask.any():
+        lead = keys[0]
+        start, stop = 0, len(lead)
+        if self.low:
+            start = int(np.searchsorted(lead, self.low[0], "left"))
+        if self.high:
+            stop = int(np.searchsorted(lead, self.high[0], "right"))
+        if start >= stop:
             return None
-        return {c: arrays[c][mask] for c in self.columns}
+        if max(len(self.low or ()), len(self.high or ())) > 1:
+            inner = [k[start:stop] for k in keys]
+            mask = np.ones(stop - start, dtype=bool)
+            if self.low:
+                mask &= fn.lex_ge(inner, self.low)
+            if self.high:
+                mask &= fn.lex_le(inner, self.high)
+            hits = np.flatnonzero(mask)
+            if not len(hits):
+                return None
+            start, stop = start + int(hits[0]), start + int(hits[-1]) + 1
+        if start == 0 and stop == len(lead):
+            return {c: arrays[c] for c in self.columns}
+        return {c: arrays[c][start:stop] for c in self.columns}
 
 
 def plan_scan(pin, table: str, low=None, high=None,
@@ -296,19 +314,37 @@ def filter_blocks(plan: ScanPlan, stream):
             out_rid += n
 
 
+def fans_out(plan: ScanPlan) -> bool:
+    """Whether a plan holds parallel work worth shipping to workers: two
+    or more jobs that are not key probes. One job gains no parallelism
+    from a process hop, and a job the sparse index narrowed to at most
+    two of its table's granules (a point lookup, a short range) costs
+    less to run here than to ship."""
+    wide = 0
+    for spec in plan.parts:
+        rows = spec.pinned.stable.num_rows
+        narrowed = spec.sid_lo > 0 or spec.sid_hi < rows
+        span = min(spec.sid_hi, rows) - spec.sid_lo
+        if not narrowed or span > 2 * spec.pinned.sparse_index.granularity:
+            wide += 1
+    return wide >= 2
+
+
 def iter_plan_blocks(plan: ScanPlan, block_rows: int = MERGE_BLOCK_ROWS,
                      router=None):
     """Execute a plan synchronously, yielding ``(rid, arrays)`` result
-    blocks — the inline (service-less) form pinned ``Database`` queries
-    use.
+    blocks — the inline (service-less) executor every ``Database`` read
+    uses.
 
-    With a process-mode ``router``
-    (:class:`~repro.exec.router.ExecutorRouter`) the per-shard specs fan
-    out to shard worker processes concurrently instead of chaining
-    sequentially on the calling thread; the rebased/filtered stream is
-    byte-identical either way.
+    The per-shard specs chain sequentially on the calling thread. With a
+    process-mode ``router`` (:class:`~repro.exec.router.ExecutorRouter`)
+    a plan with parallel work (see :func:`fans_out`) fans out to shard
+    worker processes concurrently instead, each job whose SID span is
+    too small for the hop running locally; the rebased/filtered stream
+    is byte-identical either way.
     """
-    if router is not None and router.fanout_executor() is not None:
+    if router is not None and router.fanout_executor() is not None \
+            and fans_out(plan):
         from ..engine.scan import fanout_scan_blocks
         from ..exec.router import ScanSource
 

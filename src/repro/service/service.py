@@ -28,7 +28,7 @@ commit CPU work — fsyncs coalesce across writers and the asyncio façade
 gets the benefit for free through the existing futures. When the last
 in-flight request drains, the service runs the maintenance the checkpoint
 scheduler and rebalancer deferred while pins were live — the same
-between-queries draining ``Database.query`` does for synchronous use.
+``Database.drain_maintenance`` hook inline reads run before they pin.
 
 Thread-safety contract: every public method is safe from any thread (and
 the coroutine facade from any event loop); internally, reads are
@@ -495,23 +495,16 @@ class QueryService:
 
     def _drain_maintenance(self) -> None:
         """Between-requests maintenance: run what the checkpoint scheduler
-        and rebalancer deferred while pins were live — the service-side
-        twin of the draining ``Database.query`` does between queries."""
+        and rebalancer deferred while pins were live, through the same
+        :meth:`Database.drain_maintenance` hook inline reads call."""
         if self._closed or self._admission.inflight:
             return
-        scheduler = self._db.scheduler
         # The scheduler lock spans the drain and the count: a reader that
         # sees the deferred queue empty also sees the run that emptied it.
-        with self._write_lock, scheduler.lock:
+        with self._write_lock, self._db.scheduler.lock:
             if self._admission.inflight:
                 return  # a new request was admitted; it will drain later
-            worked = scheduler.run_pending()
-            for name in self._db.sharded_names():
-                # maybe_rebalance also drains retired-shard storage whose
-                # pins have gone, at its quiescent entry point.
-                if self._db.sharded(name).maybe_rebalance():
-                    worked = True
-            if worked:
+            if self._db.drain_maintenance():
                 self.stats.bump(maintenance_runs=1)
 
     # -- lifecycle ---------------------------------------------------------

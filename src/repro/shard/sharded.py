@@ -10,14 +10,16 @@ keyed by the shard's physical name), and its own checkpoint-scheduler
 load, so hot shards fold independently while cold shards are never
 touched.
 
-Routing lives in :class:`~repro.shard.router.ShardRouter`; scans fan out
-one block-pipelined MergeScan per shard — optionally on a
-``concurrent.futures`` thread pool — and are re-concatenated in key order
-with per-shard local RIDs rebased to global RIDs by the cumulative image
-sizes of the preceding shards
-(:func:`~repro.engine.scan.fanout_scan_blocks`). Shard splitting and
-merging (the autonomous rebalancer) lives in
-:mod:`~repro.shard.rebalance`.
+Routing lives in :class:`~repro.shard.router.ShardRouter`. Reads do not
+go through this class: ``Database`` reads plan against a snapshot pin
+(:func:`~repro.service.plan.plan_scan`), which captures the shard layout,
+and execute one block-pipelined MergeScan per surviving shard — inline,
+or on :mod:`repro.exec` worker processes — re-concatenated in key order
+with per-shard local RIDs rebased to global RIDs
+(:func:`~repro.engine.scan.rebase_block_streams`). This class owns the
+physical shards, update routing, per-shard I/O accounting and
+maintenance; shard splitting and merging (the autonomous rebalancer)
+lives in :mod:`~repro.shard.rebalance`.
 
 Physical shard tables are named ``{logical}__s{gen}`` with a
 per-logical-table generation counter, so the shards a rebalance creates
@@ -29,16 +31,12 @@ from __future__ import annotations
 import bisect
 import contextlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
-from ..engine.scan import fanout_scan_blocks, scan_pdt_blocks
 from ..storage.column import Column
 from ..storage.io_stats import IOStats
 from ..storage.schema import Schema, SchemaError
 from ..storage.table import StableTable
 from .router import ShardRouter
-
-MAX_SCAN_WORKERS = 8
 
 
 class ShardedTable:
@@ -46,7 +44,7 @@ class ShardedTable:
 
     def __init__(self, db, name: str, schema: Schema, router: ShardRouter,
                  shard_names: list[str], split_rows: int | None = None,
-                 merge_rows: int | None = None, parallel: bool = True):
+                 merge_rows: int | None = None):
         if len(shard_names) != router.num_shards:
             raise ValueError("shard name count does not match boundaries")
         if split_rows is not None and merge_rows is not None \
@@ -62,11 +60,9 @@ class ShardedTable:
         self.shard_names = list(shard_names)
         self.split_rows = split_rows
         self.merge_rows = merge_rows
-        self.parallel = parallel
         self._gen = 1 + max(
             (int(n.rsplit("__s", 1)[1]) for n in shard_names), default=-1
         )
-        self._executor: ThreadPoolExecutor | None = None
         # I/O accounting marks: last pool snapshot already folded into the
         # database-level counters (see merge_io_after). One lock serializes
         # concurrent flushes so every byte is merged exactly once.
@@ -82,8 +78,7 @@ class ShardedTable:
     @classmethod
     def create(cls, db, name: str, schema: Schema, rows=(), shards: int = 4,
                boundaries=None, split_rows: int | None = None,
-               merge_rows: int | None = None,
-               parallel: bool = True) -> "ShardedTable":
+               merge_rows: int | None = None) -> "ShardedTable":
         """Bulk-load ``rows`` into ``shards`` key-range shards.
 
         ``boundaries`` fixes the split keys explicitly; by default they
@@ -105,15 +100,14 @@ class ShardedTable:
         }
         return cls.create_from_arrays(
             db, name, schema, arrays, shards=shards, boundaries=boundaries,
-            split_rows=split_rows, merge_rows=merge_rows, parallel=parallel,
+            split_rows=split_rows, merge_rows=merge_rows,
         )
 
     @classmethod
     def create_from_arrays(cls, db, name: str, schema: Schema, arrays: dict,
                            shards: int = 4, boundaries=None,
                            split_rows: int | None = None,
-                           merge_rows: int | None = None,
-                           parallel: bool = True) -> "ShardedTable":
+                           merge_rows: int | None = None) -> "ShardedTable":
         """Bulk path for pre-sorted columnar data: boundaries are read
         straight off the sorted key columns (equal-count quantiles unless
         given explicitly) and each shard's stable image is a zero-copy
@@ -139,8 +133,7 @@ class ShardedTable:
         edges = [0] + cuts + [n]
         shard_names = [f"{name}__s{i}" for i in range(len(edges) - 1)]
         sharded = cls(db, name, schema, router, shard_names,
-                      split_rows=split_rows, merge_rows=merge_rows,
-                      parallel=parallel)
+                      split_rows=split_rows, merge_rows=merge_rows)
         for shard_name, lo, hi in zip(shard_names, edges, edges[1:]):
             sharded.install_shard(StableTable.from_arrays(
                 shard_name, schema,
@@ -230,14 +223,15 @@ class ShardedTable:
             config={
                 "split_rows": self.split_rows,
                 "merge_rows": self.merge_rows,
-                "parallel": self.parallel,
             },
         )
 
     @classmethod
     def restore(cls, db, name: str, layout: dict) -> "ShardedTable":
         """Rebuild the wrapper from a WAL shard-layout record; the shard
-        stable tables must already be registered with ``db``.
+        stable tables must already be registered with ``db``. Config keys
+        this version does not know (such as the removed ``parallel`` scan
+        option older layouts carry) are ignored.
 
         Shards registered through the generic recovery path share the
         database-wide buffer pool; they are re-attached to private
@@ -252,7 +246,6 @@ class ShardedTable:
             db, name, schema, router, shard_names,
             split_rows=config.get("split_rows"),
             merge_rows=config.get("merge_rows"),
-            parallel=config.get("parallel", True),
         )
         for shard in shard_names:
             state = db.manager.state_of(shard)
@@ -376,70 +369,6 @@ class ShardedTable:
             for i, part in enumerate(parts) if part
         ]
 
-    # -- scanning ---------------------------------------------------------
-
-    def _pool_executor(self) -> ThreadPoolExecutor | None:
-        if not self.parallel or self.num_shards < 2:
-            return None
-        workers = min(self.num_shards, MAX_SCAN_WORKERS)
-        if self._executor is None or self._executor._max_workers < workers:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix=f"shard-scan-{self.name}",
-            )
-        return self._executor
-
-    def scan_blocks(self, columns=None, batch_rows: int = 4096,
-                    parallel: bool | None = None):
-        """Stream the merged logical image as ``(global_rid, arrays)``
-        blocks, one MergeScan pipeline per shard.
-
-        The per-shard pipelines read through their shard's private buffer
-        pool/IOStats (no cross-thread counter races); the per-scan I/O
-        deltas are merged into the database-level counters when the stream
-        completes. Shard sources are captured eagerly, so the stream is a
-        snapshot of the latest-committed state at call time.
-        """
-        from ..exec.router import ScanSource
-
-        if columns is None:
-            columns = list(self.schema.column_names)
-        use_parallel = self.parallel if parallel is None else parallel
-        router = getattr(self.db, "exec_router", None)
-        executor = None
-        if use_parallel:
-            executor = (router.fanout_executor()
-                        if router is not None else None) \
-                or self._pool_executor()
-        # Span context captured on the submitting thread: fanned sources
-        # run on pool threads where contextvars would read nothing, yet
-        # their worker-side spans should stitch under the query span.
-        tracer = getattr(router, "tracer", None)
-        trace_ctx = tracer.ctx() if tracer is not None and tracer.enabled \
-            else None
-        sources = []
-        for name in self.shard_names:
-            state = self.db.manager.state_of(name)
-            layers = self.db.manager.latest_layers(name)
-
-            def local(stable=state.stable, layers=layers):
-                return scan_pdt_blocks(
-                    stable, layers, columns=columns, block_rows=batch_rows
-                )
-
-            sources.append(ScanSource(
-                local, stable=state.stable, layers=layers, columns=columns,
-                block_rows=batch_rows, trace_ctx=trace_ctx,
-            ))
-
-        def stream():
-            with self.merge_io_after():
-                yield from fanout_scan_blocks(sources, executor=executor)
-
-        return stream()
-
     # -- maintenance ------------------------------------------------------
 
     def checkpoint(self) -> None:
@@ -461,15 +390,10 @@ class ShardedTable:
         return maybe_rebalance(self)
 
     def close(self) -> None:
-        """Join the scan executor and drop retired shards' storage.
-
-        Called from :meth:`Database.close`; interpreters then exit without
-        lingering non-daemon pool threads. Retired shards still waiting on
-        pins are dropped unconditionally — shutdown outlives any reader.
+        """Drop retired shards' storage (called from
+        :meth:`Database.close`). Retired shards still waiting on pins are
+        dropped unconditionally — shutdown outlives any reader.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         for shard_name, pool in self._retired_pending:
             self._drop_shard_storage(shard_name, pool)
         self._retired_pending = []

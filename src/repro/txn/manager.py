@@ -180,9 +180,11 @@ class TransactionManager:
 
     # -- snapshot pins -----------------------------------------------------------
 
-    def pin_snapshot(self) -> SnapshotPin:
+    def pin_snapshot(self, logical=None) -> SnapshotPin:
         """Pin the current commit point of *every* table (see
-        :mod:`repro.txn.pins`).
+        :mod:`repro.txn.pins`), or of the ``logical`` tables named (a
+        sharded name covers its shards) — all a one-table read needs, so
+        its cost does not grow with the number of tables.
 
         Requires no quiescence: the pin captures committed state only
         (running transactions' Trans-PDTs are invisible to it). Write-PDT
@@ -194,8 +196,20 @@ class TransactionManager:
         promptly (the scheduler can flag overdue ones, see
         ``max_pin_age_s``).
         """
-        tables = {
-            name: PinnedTable(
+        if logical is None:
+            names = list(self._tables)
+            sharded_tables = self.sharded_tables
+        else:
+            sharded_tables = {name: self.sharded_tables[name]
+                              for name in logical
+                              if name in self.sharded_tables}
+            names = [phys for name in logical
+                     for phys in (sharded_tables[name].shard_names
+                                  if name in sharded_tables else [name])]
+        tables = {}
+        for name in names:
+            state = self._tables[name]
+            tables[name] = PinnedTable(
                 name=name,
                 stable=state.stable,
                 read_pdt=state.read_pdt,
@@ -204,14 +218,12 @@ class TransactionManager:
                 lsn=state.last_commit_lsn,
                 image_lsn=state.stable.image_lsn,
             )
-            for name, state in self._tables.items()
-        }
         layouts = {
-            logical: PinnedLayout(
+            name: PinnedLayout(
                 boundaries=tuple(tuple(b) for b in sharded.router.boundaries),
                 shard_names=tuple(sharded.shard_names),
             )
-            for logical, sharded in self.sharded_tables.items()
+            for name, sharded in sharded_tables.items()
         }
         with self._pin_lock:
             pin = SnapshotPin(

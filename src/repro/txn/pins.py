@@ -1,10 +1,11 @@
 """Database-wide snapshot pins: one commit point across every shard.
 
-A cross-shard read through ``Database.query`` captures each shard's
-latest-committed layer stack independently — correct per shard, but two
-shards can be captured on either side of a commit, so a concurrent writer
-can tear a logical table's image across shards. A :class:`SnapshotPin`
-fixes the whole database at one commit point instead: for every physical
+Capturing each shard's latest-committed layer stack independently is
+correct per shard, but two shards can be captured on either side of a
+commit, so a concurrent writer could tear a logical table's image across
+shards. A :class:`SnapshotPin` fixes the whole database at one commit
+point instead, and every read plans against one (``Database`` reads take
+an ephemeral pin when the caller passes none): for every physical
 table it captures the stable image, the Read-PDT (by reference), a
 Write-PDT snapshot *loan* (the master by reference, through the same
 loan machinery transaction starts use — commits propagate copy-on-commit

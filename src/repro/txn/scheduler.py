@@ -14,8 +14,8 @@ Policies are pure decision functions over a :class:`TableLoad` snapshot,
 so they are unit-testable without a database; the
 :class:`CheckpointScheduler` owns execution: it consults the policy,
 runs decisions at quiescent points, and defers them while transactions
-are running (deferred work is retried on later commits and by
-``Database.query`` between queries).
+are running (deferred work is retried on later commits and between
+queries by ``Database.drain_maintenance``).
 
 Select a policy with ``Database(checkpoint_policy=...)``; specs:
 
@@ -301,8 +301,9 @@ class CheckpointScheduler:
     commit re-evaluates the policy for the tables it touched. Decisions
     that cannot run because transactions are still active are remembered
     and retried — by later commits and by ``run_pending`` (which
-    ``Database.query`` calls between queries, giving the SynchroStore-like
-    interleaving of maintenance with the workload).
+    ``Database.drain_maintenance`` calls before every inline read and
+    between service requests, giving the SynchroStore-like interleaving
+    of maintenance with the workload).
 
     Commit listeners, between-query drains and the query service's pool
     thread all reach the deferred queue, so one re-entrant :attr:`lock`

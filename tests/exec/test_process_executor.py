@@ -142,6 +142,43 @@ class TestEligibility:
         finally:
             db.close()
 
+    def test_point_lookup_stays_local_full_scan_hops(self, tmp_path,
+                                                     oracle):
+        """With the default sparse granularity, key probes run locally —
+        a point (one shard, one job) and a short range across a shard
+        boundary (two jobs, each narrowed to a granule or two) — while a
+        full scan of the same 10k-row shards still goes to the workers."""
+        db = make_db(tmp_path, "process")
+        try:
+            with db.pin_snapshot() as pin:
+                before = db.exec_router.remote_jobs
+                for key in (7, 12_345, N_ROWS - 1):
+                    rel = db.query("t", sk=(key,), pin=pin)
+                    assert_identical(rel, oracle.query("t", sk=(key,)))
+                boundary = N_ROWS // 4
+                rel = db.query_range("t", (boundary - 30,),
+                                     (boundary + 30,), pin=pin)
+                assert_identical(rel, oracle.query_range(
+                    "t", (boundary - 30,), (boundary + 30,)))
+                assert db.exec_router.remote_jobs == before
+                assert_identical(db.query("t", pin=pin), oracle.query("t"))
+                assert db.exec_router.remote_jobs > before
+        finally:
+            db.close()
+
+    def test_unsharded_reads_stay_local(self, tmp_path):
+        """An unsharded table plans one job: a hop gains no parallelism,
+        so even its full scan runs on the calling thread."""
+        db = Database(storage="mmap", storage_path=str(tmp_path / "flat"),
+                      executor="process", workers=2)
+        try:
+            db.create_table_from_arrays("u", SCHEMA, seed_arrays())
+            assert db.query("u").num_rows == N_ROWS
+            assert db.query("u", sk=(5,)).num_rows == 1
+            assert db.exec_router.remote_jobs == 0
+        finally:
+            db.close()
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ExecutorRouter("fibers")

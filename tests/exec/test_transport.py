@@ -8,6 +8,7 @@ fallback, FIFO reclamation) deterministically.
 """
 
 import gc
+import sys
 
 import numpy as np
 import pytest
@@ -161,3 +162,27 @@ class TestLifecycle:
         assert int(view.sum()) == 45  # the mapping survives the unlink
         del out, view
         gc.collect()  # release the mapping before SharedMemory.__del__
+
+    def test_views_outliving_reader_raise_nothing(self, monkeypatch):
+        """Views may outlive their reader and its ``SharedMemory``
+        handle: the handle's finalizer must not retry the unmap the live
+        views block. ``ShmRingReader.close`` relies on CPython's
+        ``SharedMemory.close`` skipping a ``_buf``/``_mmap`` it finds
+        ``None``; a Python that changes those internals fails here (an
+        unraisable ``BufferError``, or a view that no longer reads)."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        reader = ShmRingReader(capacity=1 << 12)
+        writer = ShmRingWriter(reader.name, capacity=1 << 12)
+        out = reader.decode(writer.try_write(
+            {"a": np.arange(10, dtype=np.int64),
+             "b": np.arange(10, dtype=np.float64)}))
+        writer.close()
+        reader.close()
+        del reader
+        gc.collect()  # the handle goes first, views still alive
+        assert int(out["a"].sum()) == 45
+        assert float(out["b"].sum()) == 45.0
+        del out
+        gc.collect()  # the last view unmaps the segment
+        assert unraisable == []

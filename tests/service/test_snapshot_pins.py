@@ -98,6 +98,22 @@ class TestPinBasics:
             assert db.query("u")["v"][0] == 123
             pin.release()
 
+    def test_pin_scoped_to_named_tables(self, sharded_db):
+        """A one-table read pins only that table's physical tables (and
+        a sharded table's layout), whatever else the database holds."""
+        db = sharded_db
+        db.create_table("u", make_schema(), seed_rows(10))
+        with db.manager.pin_snapshot(["t"]) as pin:
+            assert set(pin.tables) == set(db.sharded("t").shard_names)
+            assert set(pin.layouts) == {"t"}
+            assert not db.manager.is_pinned("u")
+            assert snapshot_bytes(db, "t", pin=pin) == snapshot_bytes(db, "t")
+        with db.manager.pin_snapshot(["u"]) as pin:
+            assert set(pin.tables) == {"u"} and not pin.layouts
+        whole = db.pin_snapshot()
+        assert set(whole.tables) == set(db.sharded("t").shard_names) | {"u"}
+        whole.release()
+
     def test_pins_share_write_loans_at_one_lsn(self, sharded_db):
         db = sharded_db
         db.modify("t", (10,), "v", 5)  # non-empty Write-PDT

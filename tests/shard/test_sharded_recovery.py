@@ -118,16 +118,40 @@ class TestShardedRecovery:
     def test_rebalancer_config_survives_recovery(self):
         db = Database(compressed=False)
         db.create_sharded_table("t", int_schema(), seed_rows(), shards=2,
-                                split_rows=20, merge_rows=5,
-                                parallel=False)
+                                split_rows=20, merge_rows=5)
         db2 = crash_and_recover(db)
         st2 = db2.sharded("t")
-        assert (st2.split_rows, st2.merge_rows, st2.parallel) == (20, 5,
-                                                                  False)
+        assert (st2.split_rows, st2.merge_rows) == (20, 5)
         # still armed: the oversized shards split on the next query
         n = st2.num_shards
         db2.query("t")
         assert st2.num_shards > n
+
+    def test_layout_with_legacy_parallel_key_restores(self, tmp_path):
+        """Layout records written before the shard scan pool was removed
+        carry ``"parallel": true`` in their config; a root holding one
+        still reopens."""
+        root = str(tmp_path / "legacy")
+        db = Database(storage="mmap", storage_path=root, compressed=False)
+        db.create_sharded_table("t", int_schema(), seed_rows(), shards=2,
+                                split_rows=200, merge_rows=5)
+        db.insert("t", (33, 1, "x"))
+        st = db.sharded("t")
+        db.manager.wal.append_shard_layout(
+            "t", st.router.boundaries, st.shard_names, lsn=db.manager._lsn,
+            config={"split_rows": 200, "merge_rows": 5, "parallel": True})
+        boundaries, want = st.boundaries, db.query("t").rows()
+        db.close()
+        with open(db.manager.wal.path) as log:
+            assert '"parallel": true' in log.read()
+        db2 = Database.recover(root, compressed=False)
+        try:
+            st2 = db2.sharded("t")
+            assert (st2.split_rows, st2.merge_rows) == (200, 5)
+            assert st2.boundaries == boundaries
+            assert db2.query("t").rows() == want
+        finally:
+            db2.close()
 
     def test_unsharded_tables_unaffected(self):
         db = Database(compressed=False)

@@ -177,6 +177,32 @@ def test_scheduler_defers_under_concurrency_and_drains_between_queries():
     assert db.scheduler.stats.checkpoints == 1
 
 
+@pytest.mark.parametrize("read", ["range", "point"])
+@pytest.mark.parametrize("sharded", [False, True],
+                         ids=["unsharded", "sharded"])
+def test_point_and_range_reads_drain_deferred_maintenance(sharded, read):
+    """Every inline read is a drain point, not only the full scan."""
+    db = Database(block_rows=1024, checkpoint_policy="updates:5")
+    rows = [(i * 2, i) for i in range(10_000)]
+    if sharded:
+        db.create_sharded_table("t", schema(), rows, shards=4)
+    else:
+        db.create_table("t", schema(), rows)
+    blocker = db.begin()
+    for i in range(8):
+        db.modify("t", (i * 2,), "v", -1)
+    assert db.scheduler.pending()  # fired but couldn't run
+    blocker.abort()
+    if read == "range":
+        rel = db.query_range("t", (0,), (20,), columns=["k", "v"])
+        assert rel["v"].tolist() == [-1] * 8 + [8, 9, 10]
+    else:
+        rel = db.query("t", sk=(4,), columns=["k", "v"])
+        assert rel["v"].tolist() == [-1]
+    assert not db.scheduler.pending()
+    assert db.scheduler.stats.checkpoints == 1
+
+
 def test_scheduler_never_policy_leaves_deltas_alone():
     db = fresh_db(policy=None)
     for i in range(50):
